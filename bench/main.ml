@@ -297,8 +297,8 @@ let pool_par = lazy (Parallel.Pool.get ())
 (* Shared descent fixture, with the Barrett caches prewarmed (in
    force_fixtures, outside any timed region): the descent benches
    measure steady-state cost per descent; the one-time reciprocal
-   build is timed separately (rem_precomp group) and amortises over
-   the k descents of the distributed driver. *)
+   build is timed separately (rem_precomp group, and cold in the
+   descent group below). *)
 let tree_2048 =
   lazy
     (let t =
@@ -337,12 +337,43 @@ let tree_parallel =
       t "factor-batch-2048-par" (par batch);
     ]
 
+(* The three descents over one cold 2048 x 512-bit tree, each leaving
+   at every leaf what batch GCD gcds against: the mod-square descent
+   with the Barrett caches built inside the timed region (a fresh
+   cache-less copy of the tree per run), the same descent by plain
+   division, and the complement descent, which needs neither squares
+   nor caches. *)
+let tree_2048_512 =
+  lazy
+    (Batchgcd.Product_tree.build ~pool:(Lazy.force pool_seq)
+       (corpus_at ~bits:512 ~n:2048 ~planted:32))
+
+let descent_group =
+  let module PT = Batchgcd.Product_tree in
+  let module RT = Batchgcd.Remainder_tree in
+  let pool () = Lazy.force pool_seq in
+  let cold () =
+    let t = Lazy.force tree_2048_512 in
+    PT.of_levels (Array.init (PT.depth t) (PT.level t))
+  in
+  Test.make_grouped ~name:"descent"
+    [
+      t "mod-square-cold-barrett-2048x512" (fun () ->
+          let tree = cold () in
+          RT.remainders_mod_square ~pool:(pool ()) tree (PT.root tree));
+      t "mod-square-plain-2048x512" (fun () ->
+          let tree = Lazy.force tree_2048_512 in
+          RT.remainders_mod_square ~pool:(pool ()) ~precomp:false tree
+            (PT.root tree));
+      t "complement-2048x512" (fun () ->
+          RT.complements ~pool:(pool ()) (Lazy.force tree_2048_512) N.one);
+    ]
+
 (* The incremental-ingest trade (Batchgcd.Incremental): full k-subset
    recompute over all 2048 moduli vs folding the last 256 into a
    cached 1792-modulus forest. Both run on the sequential pool so the
    ratio isolates the algorithmic saving from domain fan-out; the
-   cached state is built once in force_fixtures (its Barrett caches
-   prewarm on the first extend, also outside the timed region). *)
+   cached state is built once in force_fixtures. *)
 let inc_1792 =
   lazy
     (Batchgcd.Incremental.create ~pool:(Lazy.force pool_seq) ~k:16
@@ -696,11 +727,9 @@ let force_fixtures () =
   ignore (Lazy.force attr_table);
   ignore (Lazy.force shootout_cells);
   ignore (Lazy.force shootout_delta);
-  (* One throwaway extend fills the cached segments' Barrett
-     reciprocals, so the timed runs measure steady-state ingest. *)
-  ignore
-    (Batchgcd.Incremental.extend ~pool:(Lazy.force pool_seq)
-       (Lazy.force inc_1792) (Lazy.force delta_256))
+  ignore (Lazy.force inc_1792);
+  ignore (Lazy.force delta_256);
+  ignore (Lazy.force tree_2048_512)
 
 let run_timing () =
   force_fixtures ();
@@ -711,7 +740,8 @@ let run_timing () =
   let instances = Toolkit.Instance.[ monotonic_clock ] in
   let tests =
     [
-      batchgcd_section_3_2; figure2_k_sweep; tree_parallel; delta_ingest;
+      batchgcd_section_3_2; figure2_k_sweep; tree_parallel; descent_group;
+      delta_ingest;
       sharded_group; shootout_group; ablation_multiplication; toom3_group;
       ntt_group;
       recip_group; rem_precomp_group; ablation_division; ablation_powmod;

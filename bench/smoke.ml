@@ -87,6 +87,33 @@ let () =
   check "all-levels-barrett descent equals plain"
     (Array.for_all2 N.equal rem_plain rem_low);
 
+  (* Complement descent vs the naive product of the other leaves: for
+     a multiplier x, leaf i must end at (x * prod_{j<>i} m_j) mod m_i.
+     With x = 1 that is the mod-square descent's own-subset component,
+     the value batch GCD takes its gcd against. The 96-leaf tree has a
+     promoted node (its 3-node level), so both child rules run. *)
+  let x = N.add (N.mul moduli.(5) moduli.(17)) N.one in
+  let comp_s, dt = timed (fun () -> RT.complements ~pool:seq tree_s x) in
+  row "complement-tree-seq" dt;
+  let comp_p, dt = timed (fun () -> RT.complements ~pool:par tree_s x) in
+  row "complement-tree-par" dt;
+  check "parallel complement descent equals sequential"
+    (Array.for_all2 N.equal comp_s comp_p);
+  let naive_complement i m =
+    let acc = ref (N.rem x m) in
+    Array.iteri
+      (fun j mj -> if j <> i then acc := N.rem (N.mul !acc (N.rem mj m)) m)
+      moduli;
+    !acc
+  in
+  check "complement descent equals naive product of the others"
+    (Array.for_all Fun.id
+       (Array.mapi (fun i m -> N.equal comp_s.(i) (naive_complement i m)) moduli));
+  check "unit complement equals the mod-square own component"
+    (Array.for_all2 N.equal
+       (RT.complements ~pool:seq tree_s N.one)
+       (Array.map2 BG.own_subset_component moduli rem_s));
+
   let fb_s, dt = timed (fun () -> BG.factor_batch ~pool:seq moduli) in
   row "factor-batch-seq" dt;
   let fb_p, dt = timed (fun () -> BG.factor_batch ~pool:par moduli) in

@@ -18,7 +18,7 @@ let default_subsets = 16
 let tree =
   {
     name = "tree";
-    doc = "Bernstein product/remainder trees (one tree, mod-square descent)";
+    doc = "Bernstein product/remainder trees (one tree, complement descent)";
     caps = { incremental = true; sharded = true };
     factor = BG.factor_batch;
   }

@@ -48,31 +48,19 @@ let naive_pairwise_hits moduli =
   done;
   !hits
 
-(* Divisor of leaf [m] from its own subset's remainder-mod-square:
-   z = P mod m^2 is divisible by m, and z/m = (P/m) mod m. *)
+(* Divisor of leaf [m] from a remainder-mod-square descent (the
+   Sharded sweep's): z = P mod m^2 is divisible by m, and
+   z/m = (P/m) mod m. *)
 let own_subset_component m z =
   let y, r = N.divmod z m in
   assert (N.is_zero r);
   y
 
-let factor_batch ?pool ?domains moduli =
-  let n = Array.length moduli in
-  if n = 0 then []
-  else begin
-    let pool = resolve_pool pool domains in
-    let tree = Product_tree.build ~pool moduli in
-    let p = Product_tree.root tree in
-    let zs = Remainder_tree.remainders_mod_square ~pool tree p in
-    (* The leaf step the whole pipeline funnels into: one N.gcd per
-       modulus, at modulus-sized operands — N.gcd dispatches these to
-       the Lehmer kernel past WEAKKEYS_HGCD_THRESHOLD limbs (the
-       gcd-outside-nat lint keeps that dispatch unbypassed). *)
-    let divisors =
-      Array.init n (fun i ->
-          N.gcd moduli.(i) (own_subset_component moduli.(i) zs.(i)))
-    in
-    collect divisors moduli
-  end
+(* The cross-subset job (i, j): reduce root j modulo root i and fold it
+   into the running product [x] of the other subsets modulo root i. *)
+let fold_cross_root ~root_i x root_j =
+  let c = N.rem root_j root_i in
+  if N.is_one x then c else N.rem (N.mul x c) root_i
 
 let factor_subsets_trees ?pool ?domains ~k moduli =
   let n = Array.length moduli in
@@ -93,51 +81,36 @@ let factor_subsets_trees ?pool ?domains ~k moduli =
       Pool.map ~pool (fun s -> Product_tree.build ~pool (subset s))
         (Array.init k (fun s -> s))
     in
-    let products = Array.map Product_tree.root trees in
-    (* Barrett tables for every subset tree, built before the k^2
-       parallel descents: each tree is descended k times (once
-       mod-square, k-1 plain) so the reciprocals amortise, and eager
-       building keeps the trees' lazy caches single-writer — the gang
-       hand-off below publishes them to the workers. *)
-    Array.iter
-      (fun tree ->
-        Product_tree.precompute ~pool ~squares:true tree;
-        Product_tree.precompute ~pool ~squares:false tree)
-      trees;
-    (* k^2 reduction jobs: product j through tree i. Own-subset pairs
-       use the mod-square descent; cross pairs plain remainders. *)
-    let jobs =
-      Array.init (k * k) (fun idx -> (idx / k, idx mod k))
-    in
-    let job (i, j) =
+    let roots = Array.map Product_tree.root trees in
+    (* Per subset i: the k - 1 cross jobs (i, j), j <> i, fold
+       R_j mod R_i into X_i = (product of the other subsets) mod R_i,
+       all at root size; then one complement descent of X_i through
+       tree i leaves (P / m) mod m at every leaf m, P the product of
+       the whole input — the same value the single tree reaches. A
+       worker holds one subset's descent at a time. *)
+    let subset_divisors i =
+      let root_i = roots.(i) in
+      let x = ref N.one in
+      Array.iteri
+        (fun j root_j -> if j <> i then x := fold_cross_root ~root_i !x root_j)
+        roots;
       let tree = trees.(i) in
-      let contributions =
-        if i = j then
-          Array.mapi
-            (fun l z -> own_subset_component (Product_tree.leaves tree).(l) z)
-            (Remainder_tree.remainders_mod_square ~pool tree products.(j))
-        else Remainder_tree.remainders ~pool tree products.(j)
-      in
-      (i, contributions)
+      Array.map2 N.gcd (Product_tree.leaves tree)
+        (Remainder_tree.complements ~pool tree !x)
     in
-    let pieces = Pool.map ~pool job jobs in
-    (* Merge: for global index g in subset i, the divisor is
-       gcd(m, prod over j of contribution_ij mod m) — identical to the
-       single-tree accumulation. *)
-    let acc = Array.map (fun _ -> N.one) moduli in
-    Array.iter
-      (fun (i, contributions) ->
-        Array.iteri
-          (fun l c ->
-            let g = starts.(i) + l in
-            let m = moduli.(g) in
-            acc.(g) <- N.rem (N.mul acc.(g) (N.rem c m)) m)
-          contributions)
-      pieces;
-    let divisors = Array.mapi (fun g m -> N.gcd m acc.(g)) moduli in
+    (* The leaf step the whole pipeline funnels into: one N.gcd per
+       modulus, at modulus-sized operands — N.gcd dispatches these to
+       the Lehmer kernel past WEAKKEYS_HGCD_THRESHOLD limbs (the
+       gcd-outside-nat lint keeps that dispatch unbypassed). *)
+    let divisors =
+      Array.concat (Array.to_list (Pool.init ~pool k subset_divisors))
+    in
     let segments = Array.mapi (fun s tree -> (starts.(s), tree)) trees in
     (segments, collect divisors moduli)
   end
+
+let factor_batch ?pool ?domains moduli =
+  snd (factor_subsets_trees ?pool ?domains ~k:1 moduli)
 
 let factor_subsets ?pool ?domains ~k moduli =
   snd (factor_subsets_trees ?pool ?domains ~k moduli)

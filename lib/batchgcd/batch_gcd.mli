@@ -36,17 +36,24 @@ val naive_pairwise_hits : Bignum.Nat.t array -> (int * int * Bignum.Nat.t) list
 
 val factor_batch :
   ?pool:Parallel.Pool.t -> ?domains:int -> Bignum.Nat.t array -> finding list
-(** Single product tree + remainder tree, with level-parallel kernels
-    run on [pool] ([domains] sizes a memoized pool when no explicit
-    pool is given; default {!Parallel.Pool.default_domains}). *)
+(** Single product tree + one complement descent
+    ({!Remainder_tree.complements} of 1, leaving [(P / m) mod m] at each
+    leaf), with level-parallel kernels run on [pool] ([domains] sizes a
+    memoized pool when no explicit pool is given; default
+    {!Parallel.Pool.default_domains}). The [k = 1] case of
+    {!factor_subsets}. *)
 
 val factor_subsets :
   ?pool:Parallel.Pool.t ->
   ?domains:int -> k:int -> Bignum.Nat.t array -> finding list
-(** The distributed variant: split the input into [k] subsets, build a
-    product per subset, and reduce every product through every
-    subset's tree ([k^2] jobs, run on the domain pool). [k] is clamped
-    to the input size. Results are identical to {!factor_batch}. *)
+(** The distributed variant: split the input into [k] subsets and
+    build a product tree per subset. The [k (k - 1)] cross-subset jobs
+    reduce every product modulo every other subset's root and fold it
+    into that subset's running complement [X_i = (product of the other
+    subsets) mod R_i] ({!fold_cross_root}); one complement descent of
+    [X_i] per tree then gives each leaf its [(P / m) mod m]. Subsets run
+    as jobs on the domain pool. [k] is clamped to the input size.
+    Results are identical to {!factor_batch}. *)
 
 val findings_equal : finding list -> finding list -> bool
 (** Order-insensitive comparison, for cross-implementation tests. *)
@@ -67,8 +74,16 @@ val factor_subsets_trees :
 
 val own_subset_component : Bignum.Nat.t -> Bignum.Nat.t -> Bignum.Nat.t
 (** [own_subset_component m z] with [z = P mod m^2] and [m | P] is
-    [(P / m) mod m] — the contribution of [m]'s own subset to its
-    accumulated cofactor product. Shared with {!Incremental}. *)
+    [(P / m) mod m], the value {!Remainder_tree.complements} of 1
+    leaves at [m] directly. Used after a mod-square descent
+    ({!Sharded}). *)
+
+val fold_cross_root :
+  root_i:Bignum.Nat.t -> Bignum.Nat.t -> Bignum.Nat.t -> Bignum.Nat.t
+(** [fold_cross_root ~root_i x root_j] is [x * (root_j mod root_i) mod
+    root_i] — one cross-subset job of {!factor_subsets}, folding
+    another tree's product into the running complement [x] of tree
+    [i] ([x = 1] is the empty fold). Shared with {!Incremental}. *)
 
 val collect : Bignum.Nat.t array -> Bignum.Nat.t array -> finding list
 (** [collect divisors moduli] keeps the nontrivial per-index divisors

@@ -153,54 +153,41 @@ let extend ?pool ?domains ?backend t fresh =
     in
     let tn = PT.build ~pool fresh in
     let pn = PT.root tn in
-    (* The fresh tree is descended by every new-vs-old job plus its own
-       mod-square job, so its Barrett caches must be published before
-       the fan-out. Each old segment tree is touched by exactly one job
-       and fills its caches lazily on that worker (single-writer). *)
-    PT.precompute ~pool ~squares:true tn;
-    PT.precompute ~pool ~squares:false tn;
     let nseg = Array.length t.segments in
     (* Jobs, all independent:
-       [0, nseg)        delta product through old segment tree s;
-       [nseg, 2*nseg)   segment-s root through the fresh tree;
-       2*nseg           fresh root mod-square through the fresh tree
-                        (the new-vs-new pass, as in factor_batch). *)
+       [0, nseg)   delta product through old segment tree s, a plain
+                   remainder descent (old-vs-new);
+       nseg        every old segment root folded into X = (product of
+                   the old corpus) mod P, then one complement descent
+                   of X through the fresh tree (new-vs-old and
+                   new-vs-new at once, as in factor_subsets_trees). *)
     let job i =
-      if i < nseg then (i, RT.remainders ~pool (snd t.segments.(i)) pn)
-      else if i < 2 * nseg then
-        (i, RT.remainders ~pool tn (PT.root (snd t.segments.(i - nseg))))
+      if i < nseg then RT.remainders ~pool (snd t.segments.(i)) pn
       else
-        ( i,
-          Array.mapi
-            (fun l z -> BG.own_subset_component (PT.leaves tn).(l) z)
-            (RT.remainders_mod_square ~pool tn pn) )
+        let x =
+          Array.fold_left
+            (fun x (_, tree) -> BG.fold_cross_root ~root_i:pn x (PT.root tree))
+            N.one t.segments
+        in
+        RT.complements ~pool tn x
     in
-    let pieces = Pool.map ~pool job (Array.init ((2 * nseg) + 1) (fun i -> i)) in
+    let pieces = Pool.init ~pool (nseg + 1) job in
     (* Old moduli: gcd (m, d_old * (P mod m)) — exactly the divisor a
        full recompute over the union yields (see the .mli lemma). *)
     let prior = Array.make t.total N.one in
     List.iter (fun f -> prior.(f.BG.index) <- f.BG.divisor) t.findings;
     let divisors = Array.make (t.total + nf) N.one in
-    let acc_new = Array.make nf N.one in
-    Array.iter
-      (fun (i, rs) ->
-        if i < nseg then begin
-          let off, tree = t.segments.(i) in
-          let leaves = PT.leaves tree in
-          Array.iteri
-            (fun l c ->
-              let m = leaves.(l) in
-              divisors.(off + l) <- N.gcd m (N.rem (N.mul prior.(off + l) c) m))
-            rs
-        end
-        else
-          Array.iteri
-            (fun l c ->
-              let n = fresh.(l) in
-              acc_new.(l) <- N.rem (N.mul acc_new.(l) (N.rem c n)) n)
-            rs)
-      pieces;
-    Array.iteri (fun l n -> divisors.(t.total + l) <- N.gcd n acc_new.(l)) fresh;
+    Array.iteri
+      (fun s (off, tree) ->
+        Array.iteri
+          (fun l c ->
+            let m = (PT.leaves tree).(l) in
+            divisors.(off + l) <- N.gcd m (N.rem (N.mul prior.(off + l) c) m))
+          pieces.(s))
+      t.segments;
+    Array.iteri
+      (fun l c -> divisors.(t.total + l) <- N.gcd fresh.(l) c)
+      pieces.(nseg);
     let segments = Array.append t.segments [| (t.total, tn) |] in
     let t' = { total = t.total + nf; segments; findings = [] } in
     { t' with findings = BG.collect divisors (corpus t') }

@@ -56,10 +56,11 @@ val extend :
   t
 (** [extend t fresh] folds a batch of new moduli into the corpus.
     The default ["tree"] strategy builds one product tree over
-    [fresh], reduces its root through every cached segment tree
-    (old-vs-new), every segment root through the fresh tree
-    (new-vs-old) and the fresh root mod-square through the fresh tree
-    (new-vs-new), then merges divisors with the cached findings. The
+    [fresh], reduces its root through every cached segment tree by
+    plain remainders (old-vs-new), folds every segment root into the
+    old corpus's product modulo the fresh root and runs one complement
+    descent of it through the fresh tree (new-vs-old and new-vs-new at
+    once), then merges divisors with the cached findings. The
     ["all_to_all"] strategy instead prunes segment-vs-delta node
     pairs by gcd ({!All_to_all.cross_hits}) — one root gcd discharges
     an entire untouched segment, the shape that wins on small deltas

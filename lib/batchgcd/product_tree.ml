@@ -4,12 +4,13 @@ module Pool = Parallel.Pool
 (* Barrett precomps are built lazily per level (or eagerly via
    [precompute]) and memoised in the option slots. The caches are
    single-writer: descents fill them from the calling domain before
-   fanning a level out, and the distributed driver precomputes every
-   tree before its parallel phase, so workers only ever read. *)
+   fanning a level out, and callers precompute a tree before sharing it
+   across a parallel phase, so workers only ever read. Only the
+   mod-square descent reads them; the plain and complement descents
+   do not. *)
 type t = {
   levels : N.t array array;
   sq_pre : N.precomp array option array;
-  node_pre : N.precomp array option array;
 }
 
 (* Level-parallel cutoffs: a level fans out onto the pool only when it
@@ -52,7 +53,7 @@ let build ?pool inputs =
   in
   let levels = Array.of_list (up [] inputs) in
   let d = Array.length levels in
-  { levels; sq_pre = Array.make d None; node_pre = Array.make d None }
+  { levels; sq_pre = Array.make d None }
 
 (* Reconstruct a tree from serialized levels (checkpoint restore).
    Only the shape is validated — the node values are trusted to be the
@@ -69,7 +70,7 @@ let of_levels levels =
     if Array.length levels.(k + 1) <> (n + 1) / 2 then
       invalid_arg "Product_tree.of_levels: level sizes do not halve"
   done;
-  { levels; sq_pre = Array.make d None; node_pre = Array.make d None }
+  { levels; sq_pre = Array.make d None }
 
 let leaves t = t.levels.(0)
 let depth t = Array.length t.levels
@@ -104,20 +105,12 @@ let sq_precomps ?pool t k =
     t.sq_pre.(k) <- Some ps;
     ps
 
-let node_precomps ?pool t k =
-  match t.node_pre.(k) with
-  | Some ps -> ps
-  | None ->
-    let ps = precomp_level ?pool N.precompute t.levels.(k) in
-    t.node_pre.(k) <- Some ps;
-    ps
-
-(* Root-level precomps are never needed: both descents special-case the
-   top (the value being pushed down is already smaller than root^2,
-   resp. reduced by a plain rem), so eager precomputation stops one
-   level short. *)
+(* Root-level precomps are never needed: the mod-square descent
+   special-cases the top (the value pushed down is already smaller than
+   root^2), so eager precomputation stops one level short. Only squared
+   nodes are ever cached, so [~squares:false] has nothing to build. *)
 let precompute ?pool ~squares t =
-  for k = 0 to depth t - 2 do
-    if squares then ignore (sq_precomps ?pool t k)
-    else ignore (node_precomps ?pool t k)
-  done
+  if squares then
+    for k = 0 to depth t - 2 do
+      ignore (sq_precomps ?pool t k)
+    done

@@ -40,11 +40,12 @@ val total_limbs : t -> int
 
 val precompute : ?pool:Parallel.Pool.t -> squares:bool -> t -> unit
 (** Eagerly build and cache the Barrett precomps ({!Bignum.Nat.precompute})
-    for every non-root level: of the squared nodes when [squares] is
-    true (the mod-square descent), of the nodes themselves otherwise
-    (plain {!Remainder_tree.remainders}). Idempotent. The lazy per-level
-    cache is single-writer, so call this before sharing one tree across
-    concurrent descents (as the distributed k-subset driver does). *)
+    of the squared nodes of every non-root level, the ones the
+    mod-square descent ({!Remainder_tree.remainders_mod_square}) reads.
+    Idempotent. [~squares:false] is a no-op: no other precomp is cached,
+    since the plain and complement descents use none. The lazy
+    per-level cache is single-writer, so call this before sharing one
+    tree across concurrent descents (as {!Sharded}'s upper tree does). *)
 
 (**/**)
 
@@ -61,7 +62,3 @@ val max_width : Bignum.Nat.t array -> int
 val sq_precomps : ?pool:Parallel.Pool.t -> t -> int -> Bignum.Nat.precomp array
 (** Cached precomps of the squared nodes of level [k], built on first
     use. Not safe to first-call concurrently; see {!precompute}. *)
-
-val node_precomps :
-  ?pool:Parallel.Pool.t -> t -> int -> Bignum.Nat.precomp array
-(** Cached precomps of the nodes of level [k]; same caveats. *)

@@ -51,17 +51,23 @@ let remainders_mod_square ?pool ?(precomp = true) tree v =
           fun i r -> N.rem_precomp r pres.(i))
   end
 
-let remainders ?pool ?(precomp = true) tree v =
-  if not precomp then
-    descend ?pool tree v ~reduce_at:(fun k ->
-        let lvl = Product_tree.level tree k in
-        fun i r -> N.rem r lvl.(i))
-  else begin
-    let d = Product_tree.depth tree in
-    descend ?pool tree v ~reduce_at:(fun k ->
-        let lvl = Product_tree.level tree k in
-        if k = d - 1 then fun i r -> N.rem r lvl.(i)
-        else
-          let pres = Product_tree.node_precomps ?pool tree k in
-          fun i r -> N.rem_precomp r pres.(i))
-  end
+let remainders ?pool tree v =
+  descend ?pool tree v ~reduce_at:(fun k ->
+      let lvl = Product_tree.level tree k in
+      fun i r -> N.rem r lvl.(i))
+
+(* Complement descent. The invariant is X_v = (x * R / v) mod v, with
+   R the root: the root gets x mod R, and a child a of v = a * b gets
+   (X_v mod a) * (b mod a) mod a, because x * R / a = (x * R / v) * b.
+   An only child (a promoted node, v = a) keeps X_v. Plain multiplies
+   and remainders at node size — no squares and no reciprocal caches,
+   so the descent allocates nothing that outlives a level. *)
+let complements ?pool tree x =
+  descend ?pool tree x ~reduce_at:(fun k ->
+      let lvl = Product_tree.level tree k in
+      let n = Array.length lvl in
+      fun i xv ->
+        let a = lvl.(i) in
+        let sib = i lxor 1 in
+        if sib >= n then N.rem xv a
+        else N.rem (N.mul (N.rem xv a) (N.rem lvl.(sib) a)) a)

@@ -901,6 +901,7 @@ let rec recursive_divrem (a : t) (b : t) : t * t =
   if m <= 0 then
     if compare a b < 0 then (zero, a) else divmod_knuth a b
   else if m < !burnikel_ziegler_threshold then divmod_knuth a b
+  else if 2 * m <= n then short_quotient_divrem a b
   else begin
     let k = m / 2 in
     let b0, b1 = split_at b k in
@@ -930,6 +931,25 @@ let rec recursive_divrem (a : t) (b : t) : t * t =
     let r = sub !t2 !s in
     (add (shift_limbs !q1 k) !q0, r)
   end
+
+(* A quotient of m limbs against a divisor of n >= 2m limbs depends
+   only on the top limbs (MCA 1.4.3): dividing the top 2m limbs of [a]
+   by the top m limbs of [b] gives an estimate q' >= q that exceeds the
+   true quotient by a small bounded amount, which one m-by-n multiply
+   and a short correction loop remove. Recursing on the full divisor
+   instead keeps it nearly n limbs wide down to every Knuth base case,
+   costing about m*n. The BZ split keeps n - m fixed while halving m,
+   so a division with n - m much smaller than m (the balanced shapes,
+   where this branch would only add a multiply) never reaches it. *)
+and short_quotient_divrem (a : t) (b : t) : t * t =
+  let t = Array.length b - (Array.length a - Array.length b) in
+  let q = ref (fst (recursive_divrem (snd (split_at a t)) (snd (split_at b t)))) in
+  let s = ref (mul !q b) in
+  while compare !s a > 0 do
+    q := sub !q one;
+    s := sub !s b
+  done;
+  (!q, sub a !s)
 
 (* Handle len a - len b > len b by peeling quotient blocks of len b
    limbs from the top (MCA 1.4.4, UnbalancedDivision). *)

@@ -114,7 +114,10 @@ val sqr : t -> t
 val divmod : t -> t -> t * t
 (** [divmod a b = (q, r)] with [a = q*b + r] and [0 <= r < b].
     Knuth Algorithm D below [burnikel_ziegler_threshold] limbs in the
-    divisor, Burnikel-Ziegler recursive division above.
+    divisor, Burnikel-Ziegler recursive division above. A quotient at
+    most half as long as the divisor is estimated from the top limbs
+    of both operands and corrected, so its cost follows the quotient
+    length rather than the divisor's.
     @raise Division_by_zero if [b] is zero. *)
 
 val div : t -> t -> t

@@ -15,18 +15,22 @@ let write_string oc s =
   write_int oc (String.length s);
   output_string oc s
 
-let read_string ic =
-  let len = read_int ic in
-  (* A fuzzed or truncated header can claim up to a gigabyte: compare
-     the prefix against what is actually left in the channel before
-     attempting the allocation. Checkpoint channels are always files;
-     a non-seekable channel (Sys_error from the length probe) falls
-     back to the End_of_file check below. *)
+(* A fuzzed or truncated header can claim up to two billion elements:
+   compare the count against what is actually left in the channel
+   before anything is allocated from it. Checkpoint channels are always
+   files; a non-seekable channel (Sys_error from the length probe)
+   skips the check and falls back to the End_of_file of the reads. *)
+let read_count ic ~min_bytes =
+  let n = read_int ic in
   (match in_channel_length ic with
   | total ->
-    if len > total - pos_in ic then
-      raise (Corrupt "length prefix overruns remaining input")
+    if n * min_bytes > total - pos_in ic then
+      raise (Corrupt "count overruns remaining input")
   | exception Sys_error _ -> ());
+  n
+
+let read_string ic =
+  let len = read_count ic ~min_bytes:1 in
   try really_input_string ic len
   with End_of_file -> raise (Corrupt "truncated string record")
 

@@ -16,6 +16,14 @@ val read_int : in_channel -> int
 (** @raise Corrupt on a negative value (truncated / not ours).
     @raise End_of_file at end of channel. *)
 
+val read_count : in_channel -> min_bytes:int -> int
+(** [read_count ic ~min_bytes] reads an element count whose elements
+    take at least [min_bytes] bytes each on disk, before the caller
+    allocates anything from it.
+    @raise Corrupt when the count cannot fit in the rest of a file
+    channel, or is negative.
+    @raise End_of_file at end of channel. *)
+
 val write_string : out_channel -> string -> unit
 val read_string : in_channel -> string
 

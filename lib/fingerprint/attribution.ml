@@ -315,7 +315,8 @@ let write_artifact oc = function
 let read_artifact ic =
   match Io.read_int ic with
   | 0 ->
-    let n = Io.read_int ic in
+    (* an entry is at least its fingerprint length and label tag *)
+    let n = Io.read_count ic ~min_bytes:8 in
     let h = Hashtbl.create (Stdlib.max 16 n) in
     for _ = 1 to n do
       let fp = Io.read_string ic in
@@ -385,15 +386,30 @@ let save oc t =
   done;
   write_list oc write_artifact (List.rev t.artifacts)
 
+(* Nothing is sized from the header: the table grows with the ids its
+   records actually carry, each of which must lie below the header's
+   [max_id], rise strictly and match its evidence's subject. The last
+   record must then account for [max_id] itself. *)
 let load ic =
   let max_id = Io.read_int ic in
-  let t = create ~size:(Stdlib.max 1 max_id) () in
-  let nonempty = Io.read_int ic in
+  (* a record is at least its id and its evidence count *)
+  let nonempty = Io.read_count ic ~min_bytes:8 in
+  let t = create () in
+  let last = ref (-1) in
   for _ = 1 to nonempty do
     let id = Io.read_int ic in
-    if id < 0 || id >= Stdlib.max 1 max_id then
+    if id <= !last || id >= max_id then
       raise (Io.Corrupt (Printf.sprintf "evidence id %d out of range" id));
-    List.iter (add t) (read_list ic read_evidence)
+    last := id;
+    List.iter
+      (fun (e : Evidence.t) ->
+        if e.Evidence.subject <> id then
+          raise (Io.Corrupt (Printf.sprintf "evidence for %d filed under %d"
+                               e.Evidence.subject id));
+        add t e)
+      (read_list ic read_evidence)
   done;
+  if t.max_id <> max_id then
+    raise (Io.Corrupt (Printf.sprintf "max id %d disagrees with evidence" max_id));
   List.iter (add_artifact t) (read_list ic read_artifact);
   t

@@ -129,6 +129,45 @@ let test_load_rejects_corrupt () =
   Sys.remove path;
   Alcotest.(check bool) "corrupt input raises" true raised
 
+(* A well-formed table with one field rewritten: a header claiming a
+   billion ids over a two-record body (the allocation the loader once
+   made from it was 8 GB), and the first record's evidence moved to
+   another subject. Both are Corrupt, and nothing is sized from the
+   header. *)
+let test_load_rejects_inconsistent () =
+  let a = A.create () in
+  A.add a (ev ~vendor:"IBM" 1);
+  A.add a (ev ~vendor:"IBM" 3);
+  let path = Filename.temp_file "weakkeys-attr" ".bin" in
+  let oc = open_out_bin path in
+  A.save oc a;
+  close_out oc;
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let patched ~at v =
+    let b = Bytes.of_string good in
+    Bytes.set_int32_be b at (Int32.of_int v);
+    Bytes.to_string b
+  in
+  List.iter
+    (fun (name, bytes) ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      let ic = open_in_bin path in
+      let raised =
+        try
+          ignore (A.load ic);
+          false
+        with Corpus.Io.Corrupt _ -> true
+      in
+      close_in ic;
+      Alcotest.(check bool) name true raised)
+    [
+      ("huge max_id", patched ~at:0 1_000_000_000);
+      (* max_id, record count, record id, evidence count, then the
+         evidence, whose first field is its subject *)
+      ("subject filed under another id", patched ~at:16 2);
+    ];
+  Sys.remove path
+
 (* ------------------------------------------------------------------ *)
 (* Registry scheduling                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -254,6 +293,8 @@ let tests =
     Alcotest.test_case "save/load round trip" `Quick
       test_save_load_round_trip;
     Alcotest.test_case "load rejects corrupt" `Quick test_load_rejects_corrupt;
+    Alcotest.test_case "load rejects inconsistent" `Quick
+      test_load_rejects_inconsistent;
     Alcotest.test_case "builtin schedule" `Quick test_builtin_schedule;
     Alcotest.test_case "select closes over deps" `Quick
       test_select_closes_over_deps;

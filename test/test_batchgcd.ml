@@ -74,8 +74,71 @@ let test_remainder_tree_matches_direct () =
         rs2.(i))
     inputs
 
-(* Precomp (Barrett) descents against the plain division path, with
-   the barrett cutoff lowered so even 96-bit leaves get reciprocals. *)
+(* The complement descent leaves (x * prod_{j<>i} m_j) mod m_i at leaf
+   i. Trees: a single leaf; odd sizes, whose promoted nodes give both
+   the only-child rule and unbalanced sibling pairs; duplicate leaves,
+   whose complement is 0; mixed widths; and (in the shapes test) a
+   node reduction whose quotient is under half the divisor past the
+   Burnikel-Ziegler cutoff, the short-quotient division. *)
+let naive_complement x moduli i =
+  let m = moduli.(i) in
+  let acc = ref (N.rem x m) in
+  Array.iteri
+    (fun j mj -> if j <> i then acc := N.rem (N.mul !acc (N.rem mj m)) m)
+    moduli;
+  !acc
+
+let prop_complement_matches_naive =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"complement descent = naive" ~count:25
+       QCheck2.Gen.(
+         quad (int_range 1 23) (int_range 0 3) (int_range 0 2) (int_range 0 9999))
+       (fun (n, dups, width, seed) ->
+         let gen = mk_gen seed in
+         let bits i =
+           match width with
+           | 0 -> 64
+           | 1 -> 40 + (37 * i mod 200)
+           | _ -> if i mod 3 = 0 then 1400 else 700
+         in
+         let fresh = Array.init n (fun i -> N.add (N.random_bits gen (bits i)) N.two) in
+         let moduli =
+           Array.append fresh (Array.init (Stdlib.min dups n) (fun i -> fresh.(i * 5 mod n)))
+         in
+         let tree = PT.build moduli in
+         List.for_all
+           (fun x ->
+             let got = RT.complements tree x in
+             Array.for_all Fun.id
+               (Array.mapi (fun i g -> N.equal g (naive_complement x moduli i)) got))
+           [ N.one; N.random_bits gen 3000 ]))
+
+let test_complement_shapes () =
+  let check name moduli x =
+    let got = RT.complements (PT.build moduli) x in
+    Array.iteri
+      (fun i g ->
+        Alcotest.check nat (Printf.sprintf "%s leaf %d" name i)
+          (naive_complement x moduli i) g)
+      got
+  in
+  check "single leaf" [| N.of_int 35 |] (N.of_int 1000);
+  check "single leaf x = 1" [| N.of_int 35 |] N.one;
+  check "three leaves" (Array.map N.of_int [| 15; 77; 221 |]) N.one;
+  check "duplicates" (Array.map N.of_int [| 15; 15; 77; 15; 221 |]) (N.of_int 12);
+  (* x >= root: the root step reduces it first *)
+  check "x above root" (Array.map N.of_int [| 15; 77; 221 |]) (N.of_int 1_000_003);
+  (* 13 wide leaves: the promoted 13th pairs with a 12-leaf node at the
+     root, so X_root mod that node has a 46-limb quotient against a
+     ~540-limb divisor — the short-quotient division. *)
+  let gen = mk_gen 41 in
+  let wide = Array.init 13 (fun _ -> N.add (N.random_bits gen 1400) N.two) in
+  check "promoted wide leaf" wide (N.random_bits gen 20000);
+  check "promoted wide leaf x = 1" wide N.one
+
+(* The precomp (Barrett) mod-square descent against its plain
+   division path, with the barrett cutoff lowered so even 96-bit leaves
+   get reciprocals. *)
 let test_precomp_descent_matches_plain () =
   let with_barrett b f =
     let b0 = !N.barrett_threshold and r0 = !N.recip_threshold in
@@ -96,16 +159,11 @@ let test_precomp_descent_matches_plain () =
           let t = PT.build inputs in
           let plain_sq = RT.remainders_mod_square ~precomp:false t v in
           let pre_sq = RT.remainders_mod_square t v in
-          let plain = RT.remainders ~precomp:false t v in
-          let pre = RT.remainders t v in
           Array.iteri
             (fun i m ->
               Alcotest.check nat
                 (Printf.sprintf "mod-square barrett>=%d leaf %d" barrett i)
                 (N.rem v (N.sqr m)) pre_sq.(i);
-              Alcotest.check nat
-                (Printf.sprintf "plain-vs-pre %d" i)
-                plain.(i) pre.(i);
               Alcotest.check nat
                 (Printf.sprintf "sq plain-vs-pre %d" i)
                 plain_sq.(i) pre_sq.(i))
@@ -189,6 +247,29 @@ let test_all_implementations_agree () =
         true
         (BG.findings_equal (BG.factor_subsets ~k moduli) batch))
     [ 1; 2; 3; 5; 13; 100 ]
+
+(* k that does not divide n, and k >= n (clamped to n, one modulus per
+   subset), against the single tree and the naive accumulation, with a
+   duplicate modulus in the mix. *)
+let test_ksubset_uneven_splits () =
+  List.iter
+    (fun n ->
+      let moduli, _ = corpus ~bits:64 ~seed:(40 + n) ~n_clean:n ~n_shared:3 () in
+      let moduli = Array.append moduli [| moduli.(0) |] in
+      let batch = BG.factor_batch moduli in
+      let len = Array.length moduli in
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d naive = batch" len)
+        true
+        (BG.findings_equal (BG.naive moduli) batch);
+      List.iter
+        (fun k ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d k=%d = batch" len k)
+            true
+            (BG.findings_equal (BG.factor_subsets ~k moduli) batch))
+        [ 2; 3; 5; 7; 16; len - 1; len; len + 3 ])
+    [ 1; 2; 14; 30 ]
 
 let test_duplicate_moduli () =
   let gen = mk_gen 8 in
@@ -767,6 +848,8 @@ let tests =
     Alcotest.test_case "product tree singleton" `Quick test_product_tree_singleton;
     Alcotest.test_case "product tree rejects" `Quick test_product_tree_rejects;
     Alcotest.test_case "remainder tree" `Quick test_remainder_tree_matches_direct;
+    Alcotest.test_case "complement shapes" `Quick test_complement_shapes;
+    prop_complement_matches_naive;
     Alcotest.test_case "precomp descent = plain" `Quick
       test_precomp_descent_matches_plain;
     Alcotest.test_case "mixed-width level" `Quick test_mixed_width_level;
@@ -776,6 +859,7 @@ let tests =
     Alcotest.test_case "clean corpus" `Quick test_clean_corpus_no_findings;
     Alcotest.test_case "implementations agree" `Quick
       test_all_implementations_agree;
+    Alcotest.test_case "ksubset uneven splits" `Quick test_ksubset_uneven_splits;
     Alcotest.test_case "duplicate moduli" `Quick test_duplicate_moduli;
     Alcotest.test_case "ibm clique" `Quick test_ibm_clique_fully_shared;
     Alcotest.test_case "pairwise hits" `Quick test_pairwise_hits;

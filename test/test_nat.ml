@@ -251,6 +251,48 @@ let test_bz_balanced_and_edge_shapes () =
       (2600, 2600); (2600, 1300); (1, 5000); (0, 5000); (5000, 1);
     ]
 
+(* Quotients shorter than the divisor (m < n limbs), where the default
+   ladder divides the top 2m limbs by the top m and corrects, against
+   Knuth D at the default multiply thresholds. The closing shape has
+   the largest quotient b * (base^m - 1) + (b - 1) allows, the worst
+   case for the correction loop. *)
+let test_short_quotient_vs_knuth () =
+  let gen = mk_gen 13 in
+  let limbs l = N.random_bits gen (31 * l) in
+  let check_against_knuth name a b =
+    let q, r = N.divmod a b in
+    let kq, kr =
+      with_thresholds !N.karatsuba_threshold max_int (fun () -> N.divmod a b)
+    in
+    Alcotest.check nat (name ^ " quotient") kq q;
+    Alcotest.check nat (name ^ " remainder") kr r;
+    Alcotest.check nat (name ^ " rem") kr (N.rem a b)
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun m ->
+          for trial = 1 to 2 do
+            let b = N.add (limbs n) N.one in
+            let a = N.add (N.mul b (limbs m)) (N.rem (limbs n) b) in
+            check_against_knuth (Printf.sprintf "m=%d n=%d #%d" m n trial) a b
+          done)
+        [ 40; n / 4; n / 2; n - 1 ])
+    [ 64; 512; 4096 ];
+  let b = N.add (limbs 512) N.one and m = 256 in
+  let qmax = N.sub (N.shift_left N.one (31 * m)) N.one in
+  let a = N.add (N.mul b qmax) (N.sub b N.one) in
+  check_against_knuth "largest quotient" a b;
+  Alcotest.check nat "largest quotient is base^m - 1" qmax (N.div a b);
+  (* Smallest normalized top half with all-ones low limbs: the
+     truncated quotient overshoots by 3, so a single correction step
+     would leave r >= b. *)
+  let low = N.sub (N.shift_left N.one (31 * m)) N.one in
+  let b = N.add (N.shift_left N.one ((31 * 512) - 1)) low in
+  let a = N.sub (N.shift_left b (31 * m)) N.one in
+  check_against_knuth "overshooting estimate" a b;
+  Alcotest.check nat "overshooting estimate quotient" low (N.div a b)
+
 (* Toom-3 against Karatsuba and schoolbook across shapes straddling
    the dispatch boundaries: balanced at/around a lowered threshold,
    unbalanced enough to fall back to Karatsuba, aliased operands. *)
@@ -510,6 +552,8 @@ let tests =
     Alcotest.test_case "ntt default boundary" `Slow test_ntt_default_boundary;
     Alcotest.test_case "burnikel-ziegler vs knuth" `Slow test_bz_vs_knuth;
     Alcotest.test_case "division edge shapes" `Quick test_bz_balanced_and_edge_shapes;
+    Alcotest.test_case "short quotient vs knuth" `Quick
+      test_short_quotient_vs_knuth;
     Alcotest.test_case "recip bounds" `Quick test_recip_bounds;
     Alcotest.test_case "rem_precomp vs rem" `Quick test_rem_precomp_matches_rem;
     Alcotest.test_case "rem_precomp default thresholds" `Quick
